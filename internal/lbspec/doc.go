@@ -14,4 +14,9 @@
 // The two deterministic conditions must hold with zero violations in every
 // trace; the probabilistic ones are estimated as success rates over
 // (broadcast) and (node, phase) populations respectively.
+//
+// There is one checking implementation, the streaming Monitor, which runs
+// online as the engine's environment (monitor.go). Check is a replay of a
+// recorded trace through a Monitor, round by round, for callers that check
+// after the run.
 package lbspec

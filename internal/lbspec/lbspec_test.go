@@ -257,6 +257,27 @@ func TestProgressShortTrace(t *testing.T) {
 	}
 }
 
+// TestCheckConsumesEveryEvent pins the replay's treatment of events
+// recorded past tr.RoundsRun: they are consumed in the final round, so no
+// event escapes the check.
+func TestCheckConsumesEveryEvent(t *testing.T) {
+	d := pathDual(t)
+	m := sim.NewMsgID(0, 1)
+	rep := Check(d, trace(3,
+		sim.Event{Round: 1, Node: 0, Kind: sim.EvBcast, MsgID: m},
+		sim.Event{Round: 5, Node: 0, Kind: sim.EvAck, MsgID: m},
+	), 10, 0)
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Broadcasts != 1 || len(rep.AckLatencies) != 1 || rep.AckLatencies[0] != 4 {
+		t.Errorf("ack past RoundsRun not counted: %+v", rep)
+	}
+	if Check(d, trace(0, sim.Event{Round: 2, Node: 0, Kind: sim.EvAck, MsgID: m}), 10, 0).Err() == nil {
+		t.Error("orphan ack in a zero-round trace passed")
+	}
+}
+
 func TestErrTruncation(t *testing.T) {
 	rep := &Report{}
 	for i := 0; i < 10; i++ {

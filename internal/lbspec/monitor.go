@@ -51,7 +51,7 @@ type MonitorConfig struct {
 	// AfterRound.
 	Trace *sim.Trace
 	// TAck and TProg are the LB parameters. TAck must be positive; a
-	// non-positive TProg disables progress accounting (matching Check).
+	// non-positive TProg disables progress accounting.
 	TAck, TProg int
 	// Inner is an optional wrapped environment, run before the monitor
 	// observes each round.
@@ -89,8 +89,10 @@ type mspan struct {
 	recv map[int32]mrecvMark
 }
 
-// mrecvMark mirrors recvMark with narrow fields: first recv round for
-// reliability, latest receiver incarnation for duplicate detection.
+// mrecvMark is the per-(span, receiver) reception record: the first recv
+// round (what reliability consults) and the receiver incarnation of the
+// latest recv (what duplicate detection consults — a restarted receiver
+// loses its dedup state and legitimately re-delivers an active message).
 type mrecvMark struct {
 	round, incarn int32
 }
@@ -109,13 +111,15 @@ type deadlineEntry struct {
 }
 
 // Monitor is a streaming online checker of the LB deterministic conditions
-// plus the reliability/progress statistics of Check. It implements
-// sim.Environment: pass it (or an environment chain ending in it) as
-// sim.Config.Env and it drains each round's events in AfterRound, keeping
-// O(active spans + one tombstone per finished broadcast) state — never the
-// full trace. It is incarnation-aware: wire churn lifecycle transitions in
-// via NodeDown/NodeRestarted (e.g. from churn.InjectorConfig.OnDown/OnUp)
-// and restarted nodes may legitimately reuse MsgIDs.
+// plus the reliability/progress statistics, and the package's only
+// checking implementation (Check replays a recorded trace through one). It
+// implements sim.Environment: pass it (or an environment chain ending in
+// it) as sim.Config.Env and it drains each round's events in AfterRound,
+// keeping O(active spans + one tombstone per finished broadcast) state —
+// never the full trace. It is incarnation-aware: wire churn lifecycle
+// transitions in via NodeDown/NodeRestarted (e.g. from
+// churn.InjectorConfig.OnDown/OnUp) and restarted nodes may legitimately
+// reuse MsgIDs.
 //
 // Monitoring never perturbs the execution: the monitor only reads the
 // trace, so fingerprints are byte-identical with and without it.
@@ -169,6 +173,12 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cfg.TAck <= 0 {
 		return nil, fmt.Errorf("lbspec: monitor needs a positive TAck, got %d", cfg.TAck)
 	}
+	return newMonitor(cfg), nil
+}
+
+// newMonitor builds a monitor without validating cfg; Check uses it
+// directly so that any t_ack it is handed is checked rather than refused.
+func newMonitor(cfg MonitorConfig) *Monitor {
 	if cfg.MaxViolations == 0 {
 		cfg.MaxViolations = 4096
 	}
@@ -191,7 +201,7 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cfg.TProg > 0 {
 		m.phaseStart, m.phaseEnd = 1, cfg.TProg
 	}
-	return m, nil
+	return m
 }
 
 // BeforeRound implements sim.Environment.
@@ -203,18 +213,24 @@ func (m *Monitor) BeforeRound(t int) {
 }
 
 // AfterRound implements sim.Environment: the engine has drained every
-// event of round t into the trace by now, so consume the tail, settle the
-// round's completions, expire acknowledgement deadlines, and close the
-// progress phase if t ends one.
+// event of round t into the trace by now, so consume the tail and settle
+// the round.
 func (m *Monitor) AfterRound(t int) {
 	if m.cfg.Inner != nil {
 		m.cfg.Inner.AfterRound(t)
 	}
+	m.advance(t, m.cfg.Trace.Len())
+}
+
+// advance consumes trace events up to index limit as round t's batch, then
+// settles the round: finishes its completions, expires acknowledgement
+// deadlines, and closes the progress phase if t ends one.
+func (m *Monitor) advance(t, limit int) {
 	tr := m.cfg.Trace
-	for i := m.seen; i < tr.Len(); i++ {
+	for i := m.seen; i < limit; i++ {
 		m.consume(tr.At(i))
 	}
-	m.seen = tr.Len()
+	m.seen = limit
 	m.settleClosed()
 	m.sweepDeadlines(t)
 	if m.cfg.TProg > 0 && t == m.phaseEnd {
@@ -556,9 +572,8 @@ func (m *Monitor) TotalViolations() int { return m.totalViol }
 // ActiveSpans returns the number of currently open broadcast spans.
 func (m *Monitor) ActiveSpans() int { return len(m.active) }
 
-// Report assembles the statistics observed so far into the same shape
-// Check produces. Latency slices are in completion order (Check's are in
-// bcast order) — compare as multisets.
+// Report assembles the statistics observed so far. Latency slices are in
+// completion order, as Check's are (Check is a replay through a Monitor).
 func (m *Monitor) Report() *Report {
 	rep := &Report{
 		Broadcasts:            m.broadcasts,

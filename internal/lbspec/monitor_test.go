@@ -15,8 +15,10 @@ import (
 
 // replayMonitor drives a monitor round by round over a crafted event list,
 // as the engine would: events of round t enter the trace during round t and
-// the monitor consumes them in AfterRound(t).
-func replayMonitor(t *testing.T, d *dualgraph.Dual, rounds, tack, tprog int, evs []sim.Event) *Monitor {
+// the monitor consumes them in AfterRound(t). The lifecycle transitions in
+// opts reach the monitor at the start of their round, as the churn
+// injector delivers them.
+func replayMonitor(t *testing.T, d *dualgraph.Dual, rounds, tack, tprog int, evs []sim.Event, opts refOptions) *Monitor {
 	t.Helper()
 	sorted := append([]sim.Event(nil), evs...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Round < sorted[j].Round })
@@ -28,6 +30,16 @@ func replayMonitor(t *testing.T, d *dualgraph.Dual, rounds, tack, tprog int, evs
 	k := 0
 	for round := 1; round <= rounds; round++ {
 		m.BeforeRound(round)
+		for _, nr := range opts.Downs {
+			if nr.Round == round {
+				m.NodeDown(round, nr.Node)
+			}
+		}
+		for _, nr := range opts.Restarts {
+			if nr.Round == round {
+				m.NodeRestarted(round, nr.Node)
+			}
+		}
 		for k < len(sorted) && sorted[k].Round <= round {
 			tr.Record(sorted[k])
 			k++
@@ -38,27 +50,34 @@ func replayMonitor(t *testing.T, d *dualgraph.Dual, rounds, tack, tprog int, evs
 	return m
 }
 
-// reportsEquivalent asserts the monitor observed the same verdict and
-// statistics as a post-hoc Check report. Latency slices are compared as
-// multisets (the two sides order them differently).
-func reportsEquivalent(t *testing.T, mon *Monitor, want *Report) {
+// reportsEquivalent asserts two reports carry the same verdict and
+// statistics; want is the oracle's (refCheck/refCheckChurned). Latency
+// slices are compared as multisets (the oracle orders them by bcast, the
+// monitor by completion).
+func reportsEquivalent(t testing.TB, got, want *Report) {
 	t.Helper()
-	got := mon.Report()
 	if len(got.Violations) != len(want.Violations) {
-		t.Errorf("violations: monitor %d, check %d\nmonitor: %v\ncheck: %v",
+		t.Errorf("violations: got %d, oracle %d\ngot: %v\noracle: %v",
 			len(got.Violations), len(want.Violations), got.Violations, want.Violations)
 	}
+	reportStatsEqual(t, got, want)
+}
+
+// reportStatsEqual asserts the reliability, progress and latency
+// statistics of two reports agree; want is the oracle's.
+func reportStatsEqual(t testing.TB, got, want *Report) {
+	t.Helper()
 	if got.Broadcasts != want.Broadcasts || got.ReliableSuccesses != want.ReliableSuccesses {
-		t.Errorf("broadcast accounting: monitor %d/%d, check %d/%d",
+		t.Errorf("broadcast accounting: got %d/%d, oracle %d/%d",
 			got.ReliableSuccesses, got.Broadcasts, want.ReliableSuccesses, want.Broadcasts)
 	}
 	if got.ProgressOpportunities != want.ProgressOpportunities || got.ProgressSuccesses != want.ProgressSuccesses {
-		t.Errorf("progress accounting: monitor %d/%d, check %d/%d",
+		t.Errorf("progress accounting: got %d/%d, oracle %d/%d",
 			got.ProgressSuccesses, got.ProgressOpportunities, want.ProgressSuccesses, want.ProgressOpportunities)
 	}
 	for u := range want.OppsByNode {
 		if got.OppsByNode[u] != want.OppsByNode[u] || got.SuccByNode[u] != want.SuccByNode[u] {
-			t.Errorf("node %d progress grid: monitor %d/%d, check %d/%d",
+			t.Errorf("node %d progress grid: got %d/%d, oracle %d/%d",
 				u, got.SuccByNode[u], got.OppsByNode[u], want.SuccByNode[u], want.OppsByNode[u])
 			break
 		}
@@ -75,12 +94,12 @@ func reportsEquivalent(t *testing.T, mon *Monitor, want *Report) {
 		sort.Ints(g)
 		sort.Ints(w)
 		if len(g) != len(w) {
-			t.Errorf("%s: monitor %v, check %v", s.name, g, w)
+			t.Errorf("%s: got %v, oracle %v", s.name, g, w)
 			continue
 		}
 		for i := range g {
 			if g[i] != w[i] {
-				t.Errorf("%s: monitor %v, check %v", s.name, g, w)
+				t.Errorf("%s: got %v, oracle %v", s.name, g, w)
 				break
 			}
 		}
@@ -88,8 +107,9 @@ func reportsEquivalent(t *testing.T, mon *Monitor, want *Report) {
 }
 
 // TestMonitorMatchesCheckOnCraftedTraces replays the adversarial traces of
-// the Check unit tests through the monitor and requires the same verdict:
-// identical violation counts and statistics on every case.
+// the Check unit tests through the monitor, and through Check, and requires
+// the oracle's verdict from both: identical violation counts and
+// statistics on every case.
 func TestMonitorMatchesCheckOnCraftedTraces(t *testing.T) {
 	d := pathDual(t)
 	m := sim.NewMsgID(0, 1)
@@ -169,13 +189,22 @@ func TestMonitorMatchesCheckOnCraftedTraces(t *testing.T) {
 			{Round: 5, Node: 0, Kind: sim.EvAck, MsgID: m},
 			{Round: 5, Node: 1, Kind: sim.EvRecv, From: 0, MsgID: m},
 		}},
+		{"recv before bcast", 20, []sim.Event{
+			// An early recv is a validity violation, never a delivery:
+			// the broadcast is not a reliable success.
+			{Round: 2, Node: 1, Kind: sim.EvRecv, From: 0, MsgID: m},
+			{Round: 5, Node: 0, Kind: sim.EvBcast, MsgID: m},
+			{Round: 8, Node: 0, Kind: sim.EvAck, MsgID: m},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tack, tprog := 10, 5
-			want := Check(d, trace(tc.rounds, tc.evs...), tack, tprog)
-			mon := replayMonitor(t, d, tc.rounds, tack, tprog, tc.evs)
-			reportsEquivalent(t, mon, want)
+			tr := trace(tc.rounds, tc.evs...)
+			want := refCheck(d, tr, tack, tprog)
+			mon := replayMonitor(t, d, tc.rounds, tack, tprog, tc.evs, refOptions{})
+			reportsEquivalent(t, mon.Report(), want)
+			reportsEquivalent(t, Check(d, tr, tack, tprog), want)
 		})
 	}
 }
@@ -224,8 +253,8 @@ func monitoredLBAlgRun(t *testing.T, seed int64, driver sim.Driver, workers int)
 }
 
 // TestMonitorLockstepLBAlg is the lockstep property test: across seeds and
-// drivers, the online monitor and the post-hoc checker must agree on the
-// full report of a real protocol execution.
+// drivers, the online monitor, the Check replay and the oracle must agree
+// on the full report of a real protocol execution.
 func TestMonitorLockstepLBAlg(t *testing.T) {
 	for _, seed := range []int64{3, 21, 77} {
 		for _, dr := range []struct {
@@ -237,14 +266,15 @@ func TestMonitorLockstepLBAlg(t *testing.T) {
 			{"pool2", sim.DriverWorkerPool, 2},
 		} {
 			mon, d, tr, tack, tprog := monitoredLBAlgRun(t, seed, dr.driver, dr.workers)
-			want := Check(d, tr, tack, tprog)
+			want := refCheck(d, tr, tack, tprog)
 			if err := want.Err(); err != nil {
 				t.Fatalf("seed %d %s: protocol run not clean: %v", seed, dr.name, err)
 			}
 			if want.Broadcasts == 0 {
 				t.Fatalf("seed %d %s: no broadcasts completed", seed, dr.name)
 			}
-			reportsEquivalent(t, mon, want)
+			reportsEquivalent(t, mon.Report(), want)
+			reportsEquivalent(t, Check(d, tr, tack, tprog), want)
 			if mon.TotalViolations() != 0 {
 				t.Errorf("seed %d %s: monitor flagged %d violations on a clean run: %v",
 					seed, dr.name, mon.TotalViolations(), mon.Violations())
@@ -271,12 +301,12 @@ func TestCheckChurnedRestartReusesMsgID(t *testing.T) {
 		{Round: 11, Node: 0, Kind: sim.EvAck, MsgID: m},
 	}
 	tr := trace(20, evs...)
-	opts := Options{
-		Downs:    []NodeRound{{Round: 5, Node: 0}},
-		Restarts: []NodeRound{{Round: 8, Node: 0}},
+	opts := refOptions{
+		Downs:    []nodeRound{{Round: 5, Node: 0}},
+		Restarts: []nodeRound{{Round: 8, Node: 0}},
 	}
 
-	churned := CheckChurned(d, tr, 10, 0, opts)
+	churned := refCheckChurned(d, tr, 10, 0, opts)
 	if err := churned.Err(); err != nil {
 		t.Fatalf("churn-aware checker rejected a legitimate restart reuse: %v", err)
 	}
@@ -291,29 +321,9 @@ func TestCheckChurnedRestartReusesMsgID(t *testing.T) {
 	}
 
 	// The monitor, fed the same lifecycle transitions, agrees with the
-	// churn-aware checker.
-	srt := &sim.Trace{}
-	mon, err := NewMonitor(MonitorConfig{Dual: d, Trace: srt, TAck: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := 0
-	for round := 1; round <= 20; round++ {
-		mon.BeforeRound(round)
-		if round == 5 {
-			mon.NodeDown(5, 0)
-		}
-		if round == 8 {
-			mon.NodeRestarted(8, 0)
-		}
-		for k < len(evs) && evs[k].Round <= round {
-			srt.Record(evs[k])
-			k++
-		}
-		srt.RoundsRun++
-		mon.AfterRound(round)
-	}
-	reportsEquivalent(t, mon, churned)
+	// churn-aware oracle.
+	mon := replayMonitor(t, d, 20, 10, 0, evs, opts)
+	reportsEquivalent(t, mon.Report(), churned)
 }
 
 // TestCheckChurnedExcusesInterruptedSpan pins the down-excusal semantics: a
@@ -322,27 +332,32 @@ func TestCheckChurnedRestartReusesMsgID(t *testing.T) {
 func TestCheckChurnedExcusesInterruptedSpan(t *testing.T) {
 	d := pathDual(t)
 	m := sim.NewMsgID(0, 1)
-	tr := trace(30, sim.Event{Round: 1, Node: 0, Kind: sim.EvBcast, MsgID: m})
+	evs := []sim.Event{{Round: 1, Node: 0, Kind: sim.EvBcast, MsgID: m}}
+	tr := trace(30, evs...)
 
-	if err := CheckChurned(d, tr, 10, 0, Options{
-		Downs: []NodeRound{{Round: 6, Node: 0}},
-	}).Err(); err != nil {
+	early := refOptions{Downs: []nodeRound{{Round: 6, Node: 0}}}
+	want := refCheckChurned(d, tr, 10, 0, early)
+	if err := want.Err(); err != nil {
 		t.Fatalf("crash before the deadline should excuse the span: %v", err)
 	}
-	if CheckChurned(d, tr, 10, 0, Options{
-		Downs: []NodeRound{{Round: 20, Node: 0}},
-	}).Err() == nil {
+	reportsEquivalent(t, replayMonitor(t, d, 30, 10, 0, evs, early).Report(), want)
+
+	late := refOptions{Downs: []nodeRound{{Round: 20, Node: 0}}}
+	want = refCheckChurned(d, tr, 10, 0, late)
+	if want.Err() == nil {
 		t.Fatal("deadline expired while the node was up; the later crash must not excuse it")
 	}
+	reportsEquivalent(t, replayMonitor(t, d, 30, 10, 0, evs, late).Report(), want)
+
 	if Check(d, tr, 10, 0).Err() == nil {
 		t.Fatal("static checker lost the missing-ack violation")
 	}
 }
 
 // TestMonitorChurnLockstep runs the real protocol under crash/recover
-// churn (static topology, so the post-hoc checker remains sound) with the
-// monitor wired to the injector's lifecycle hooks, and requires online ≡
-// post-hoc agreement — including across drivers. Restarted senders reuse
+// churn (static topology, so the whole-trace oracle remains sound) with the
+// monitor wired to the injector's lifecycle hooks, and requires monitor ≡
+// refCheckChurned agreement — including across drivers. Restarted senders reuse
 // MsgIDs here, so this exercises the incarnation keying end to end.
 func TestMonitorChurnLockstep(t *testing.T) {
 	run := func(driver sim.Driver, workers int) (*Monitor, *Report) {
@@ -420,16 +435,16 @@ func TestMonitorChurnLockstep(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		opts := Options{}
+		opts := refOptions{}
 		for _, ev := range plan.Events {
 			switch ev.Kind {
 			case churn.Crash:
-				opts.Downs = append(opts.Downs, NodeRound{Round: ev.Round, Node: ev.Node})
+				opts.Downs = append(opts.Downs, nodeRound{Round: ev.Round, Node: ev.Node})
 			case churn.Recover:
-				opts.Restarts = append(opts.Restarts, NodeRound{Round: ev.Round, Node: ev.Node})
+				opts.Restarts = append(opts.Restarts, nodeRound{Round: ev.Round, Node: ev.Node})
 			}
 		}
-		return mon, CheckChurned(d, tr, p.TAckBound(), p.TProgBound(), opts)
+		return mon, refCheckChurned(d, tr, p.TAckBound(), p.TProgBound(), opts)
 	}
 
 	mon, want := run(sim.DriverSequential, 0)
@@ -439,10 +454,10 @@ func TestMonitorChurnLockstep(t *testing.T) {
 	if err := want.Err(); err != nil {
 		t.Fatalf("churn-aware checker flagged the LBAlg run: %v", err)
 	}
-	reportsEquivalent(t, mon, want)
+	reportsEquivalent(t, mon.Report(), want)
 
 	monPool, wantPool := run(sim.DriverWorkerPool, 4)
-	reportsEquivalent(t, monPool, wantPool)
+	reportsEquivalent(t, monPool.Report(), wantPool)
 	if got, want := len(monPool.Violations()), len(mon.Violations()); got != want {
 		t.Errorf("driver-dependent verdict: pool %d violations, sequential %d", got, want)
 	}
@@ -501,12 +516,13 @@ func TestMonitorDiscardConsumed(t *testing.T) {
 		t.Fatalf("discarding changed the execution: %d/%d events, %d/%d rounds",
 			trDiscard.Len(), trKeep.Len(), trDiscard.RoundsRun, trKeep.RoundsRun)
 	}
-	want := Check(d, trKeep, tack, tprog)
-	reportsEquivalent(t, monDiscard, want)
-	reportsEquivalent(t, monKeep, want)
+	want := refCheck(d, trKeep, tack, tprog)
+	reportsEquivalent(t, monDiscard.Report(), want)
+	reportsEquivalent(t, monKeep.Report(), want)
 
-	// The retained suffix stays addressable.
+	// The retained suffix stays addressable, and Check reads only it.
 	if first := trDiscard.Discarded(); first < trDiscard.Len() {
 		_ = trDiscard.At(first)
 	}
+	_ = Check(d, trDiscard, tack, tprog)
 }
