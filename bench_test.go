@@ -174,7 +174,17 @@ func BenchmarkGeometricConstruction(b *testing.B) {
 // BenchmarkSINRRound measures one region-bucketed SINR resolution round at
 // the 10⁴ sweep point with 10% of nodes transmitting — the physical-layer
 // hot path of the large-n SINR comparison rows.
-func BenchmarkSINRRound(b *testing.B) {
+func BenchmarkSINRRound(b *testing.B) { benchmarkSINRResolve(b, 0.05, 0.1) }
+
+// BenchmarkSINRExactRound measures one exact (Tolerance 0) SINR resolution
+// round at n = 10⁴ with ≈1% of nodes transmitting — the operating point of
+// the sinr-local policy, which runs sinr.DefaultParams.
+func BenchmarkSINRExactRound(b *testing.B) { benchmarkSINRResolve(b, 0, 0.01) }
+
+// benchmarkSINRResolve times Resolve on a uniform placement of 10⁴ nodes at
+// the sweep density, with a fixed transmitter set drawn at the given
+// per-node probability.
+func benchmarkSINRResolve(b *testing.B, tol, prob float64) {
 	const n = 10000
 	rng := xrand.New(1)
 	side := math.Sqrt(float64(n) / 4)
@@ -183,14 +193,14 @@ func BenchmarkSINRRound(b *testing.B) {
 		pos[i] = geo.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
 	}
 	params := sinr.DefaultParams()
-	params.Tolerance = 0.05
+	params.Tolerance = tol
 	model, err := sinr.NewModel(pos, sinr.UniformPower(1), params)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var txs []int32
 	for u := 0; u < n; u++ {
-		if rng.Coin(0.1) {
+		if rng.Coin(prob) {
 			txs = append(txs, int32(u))
 		}
 	}

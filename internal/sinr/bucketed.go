@@ -119,14 +119,6 @@ func (m *Model) prepareBuckets(txs []int32) {
 	}
 }
 
-// resolveBucketed resolves one round through the region buckets.
-func (m *Model) resolveBucketed(txs []int32, out []int32) {
-	m.prepareBuckets(txs)
-	for u := range out {
-		out[u] = m.resolveOneBucketed(u, len(txs), m.bucket.totalPow)
-	}
-}
-
 // resolveOneBucketed computes listener u's outcome from the region buckets.
 func (m *Model) resolveOneBucketed(u, txCount int, totalPow float64) int32 {
 	s := m.bucket

@@ -8,27 +8,36 @@ import (
 	"lbcast/internal/xrand"
 )
 
-// bucketedFixture builds a model with the bucketed resolver active and a
-// random constant-density placement — the sweep-geometric family the
-// resolver exists for.
+// bucketedFixture builds a model over a random constant-density placement —
+// the sweep-geometric family the bucketed resolver exists for — and checks
+// that its grid index is active.
 func bucketedFixture(t *testing.T, n int, tol float64, pa PowerAssignment, seed uint64) (*Model, []geo.Point) {
 	t.Helper()
-	rng := xrand.New(seed)
-	side := math.Max(4, math.Sqrt(float64(n)/4))
-	pos := make([]geo.Point, n)
-	for i := range pos {
-		pos[i] = geo.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
-	}
+	pos := uniformPlacement(n, seed)
 	p := DefaultParams()
 	p.Tolerance = tol
 	m, err := NewModel(pos, pa, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tol > 0 && m.grid == nil {
+	if m.grid == nil {
 		t.Fatal("bucketed fixture did not activate the grid index")
 	}
+	if m.bucket == nil {
+		// Tolerance-zero models never bucket on their own; the tests
+		// below call resolveBucketed directly.
+		m.bucket = newBucketScratch(m.grid)
+	}
 	return m, pos
+}
+
+// resolveBucketed resolves one round through the region buckets whatever
+// the tolerance and transmitter count, bypassing Resolve's dispatch.
+func (m *Model) resolveBucketed(txs []int32, out []int32) {
+	m.prepareBuckets(txs)
+	for u := range out {
+		out[u] = m.resolveOneBucketed(u, len(txs), m.bucket.totalPow)
+	}
 }
 
 // randomTxs draws a transmitter set with the given per-node probability,
@@ -51,10 +60,7 @@ func randomTxs(n int, prob float64, rng *xrand.Source) []int32 {
 func TestBucketedMatchesExactAtToleranceZero(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		n := 300 + int(seed)*40
-		// Tolerance must be > 0 for NewModel to build the grid; force the
-		// truncation threshold itself to zero afterwards.
-		m, _ := bucketedFixture(t, n, 1e-9, nil, seed)
-		m.p.Tolerance = 0
+		m, _ := bucketedFixture(t, n, 0, nil, seed)
 		rng := xrand.New(seed * 77)
 		for _, prob := range []float64{0.02, 0.1, 0.4} {
 			txs := randomTxs(n, prob, rng)
@@ -63,7 +69,7 @@ func TestBucketedMatchesExactAtToleranceZero(t *testing.T) {
 			}
 			exact := make([]int32, n)
 			bucketed := make([]int32, n)
-			m.ResolveExact(1, txs, exact)
+			refResolveExact(m, txs, exact)
 			m.resolveBucketed(txs, bucketed)
 			for u := range exact {
 				if exact[u] != bucketed[u] {
@@ -85,13 +91,12 @@ func TestBucketedMatchesExactPerNodePower(t *testing.T) {
 	for u := range powers {
 		powers[u] = 0.25 + 4*rng.Float64()
 	}
-	m, _ := bucketedFixture(t, n, 1e-9, powers, 9)
-	m.p.Tolerance = 0
+	m, _ := bucketedFixture(t, n, 0, powers, 9)
 	for _, prob := range []float64{0.05, 0.3} {
 		txs := randomTxs(n, prob, rng)
 		exact := make([]int32, n)
 		bucketed := make([]int32, n)
-		m.ResolveExact(1, txs, exact)
+		refResolveExact(m, txs, exact)
 		m.resolveBucketed(txs, bucketed)
 		for u := range exact {
 			if exact[u] != bucketed[u] {
@@ -142,7 +147,7 @@ func TestBucketedToleranceBound(t *testing.T) {
 				}
 				exact := make([]int32, n)
 				bucketed := make([]int32, n)
-				m.ResolveExact(1, txs, exact)
+				refResolveExact(m, txs, exact)
 				m.resolveBucketed(txs, bucketed)
 				for u := range exact {
 					if exact[u] == bucketed[u] {
@@ -180,14 +185,14 @@ func TestBucketedDeterministic(t *testing.T) {
 
 // TestResolveDispatch pins the Resolve entry point: small rounds use the
 // exact path even on a tolerance-configured model, large rounds bucket, and
-// a tolerance-zero model never buckets.
+// a tolerance-zero model never buckets although it holds a grid index.
 func TestResolveDispatch(t *testing.T) {
 	const n = 200
 	m, _ := bucketedFixture(t, n, 0.01, nil, 2)
 	small := []int32{0, 3, 9} // below BucketedMinTx: exact path
 	outA, outB := make([]int32, n), make([]int32, n)
 	m.Resolve(1, small, outA)
-	m.ResolveExact(1, small, outB)
+	refResolveExact(m, small, outB)
 	for u := range outA {
 		if outA[u] != outB[u] {
 			t.Fatalf("small-round dispatch diverged at listener %d", u)
@@ -206,8 +211,15 @@ func TestResolveDispatch(t *testing.T) {
 	}
 
 	exactOnly, _ := bucketedFixture(t, n, 0, nil, 2)
-	if exactOnly.grid != nil {
-		t.Fatal("tolerance-zero model built a grid")
+	exactOnly.Resolve(3, big, outA)
+	if exactOnly.roundBucketed {
+		t.Fatal("tolerance-zero model bucketed a large round")
+	}
+	refResolveExact(exactOnly, big, outB)
+	for u := range outA {
+		if outA[u] != outB[u] {
+			t.Fatalf("tolerance-zero model diverged from the oracle at listener %d", u)
+		}
 	}
 }
 

@@ -33,16 +33,25 @@ func (c *coinTxProc) Receive(t, from int, payload any, ok bool) {
 // sequential driver at full trace granularity: worker counts {1, 2, 7,
 // GOMAXPROCS} must reproduce the sequential execution byte for byte. The
 // placement is large enough to clear the engine's listener-count gate and
-// the transmit rate high enough that most rounds clear BucketedMinTx, so
-// both the bucketed and exact per-listener paths run sharded. Run under
-// -race to also certify the shards' synchronisation.
+// the transmit rate high enough that most rounds clear BucketedMinTx, so at
+// Tolerance 0.05 both the bucketed and exact per-listener paths run
+// sharded; the tol=0 subtests repeat the check for the pruned exact
+// resolver alone. Run under -race to also certify the shards'
+// synchronisation.
 func TestParallelResolveBitIdentity(t *testing.T) {
 	d, err := dualgraph.RandomGeometric(400, 10, 10, 1.5, dualgraph.GreyUnreliable, xrand.New(17))
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWorkers(t, d, 0.05)
+	t.Run("tol=0", func(t *testing.T) { checkWorkers(t, d, 0) })
+}
+
+// checkWorkers runs one subtest per worker count, each comparing the
+// worker-pool trace at the given tolerance to the sequential one.
+func checkWorkers(t *testing.T, d *dualgraph.Dual, tol float64) {
 	params := DefaultParams()
-	params.Tolerance = 0.05
+	params.Tolerance = tol
 
 	run := func(driver sim.Driver, workers int) *sim.Trace {
 		m, err := NewModel(d.Emb, UniformPower(1), params)
@@ -90,11 +99,18 @@ func TestParallelResolveBitIdentity(t *testing.T) {
 // TestResolveRangePartitionInvariance checks the ShardedReceptionModel
 // contract directly, without an engine: any partition of the listener range
 // must reproduce Resolve's output exactly, on both the bucketed (≥
-// BucketedMinTx transmitters) and exact (below it) paths.
+// BucketedMinTx transmitters at Tolerance 0.05) and exact (below it, or at
+// Tolerance 0) paths.
 func TestResolveRangePartitionInvariance(t *testing.T) {
+	for _, tol := range []float64{0.05, 0} {
+		checkPartitions(t, tol)
+	}
+}
+
+func checkPartitions(t *testing.T, tol float64) {
 	rng := xrand.New(31)
 	const n = 300
-	m, _ := bucketedFixture(t, n, 0.05, UniformPower(1), 7)
+	m, _ := bucketedFixture(t, n, tol, UniformPower(1), 7)
 
 	for _, txCount := range []int{BucketedMinTx - 5, BucketedMinTx + 40} {
 		txs := make([]int32, 0, txCount)
@@ -127,8 +143,8 @@ func TestResolveRangePartitionInvariance(t *testing.T) {
 			}
 			for u := range want {
 				if got[u] != want[u] {
-					t.Fatalf("txs=%d pieces=%d: listener %d got %d, want %d",
-						txCount, pieces, u, got[u], want[u])
+					t.Fatalf("tol=%v txs=%d pieces=%d: listener %d got %d, want %d",
+						tol, txCount, pieces, u, got[u], want[u])
 				}
 			}
 		}

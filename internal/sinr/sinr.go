@@ -33,8 +33,10 @@ type Params struct {
 	// decision guaranteed to match the exact resolver whenever the
 	// listener's SINR decision margin exceeds Tolerance (see
 	// Model.resolveOneBucketed for the margin algebra). 0 keeps the exact
-	// O(n·|txs|) resolver. Must stay below Beta·Noise — the decode floor —
-	// so a truncated transmitter can never have been the decodable one.
+	// resolver, which scans every transmitter for each listener within
+	// isolation range of one and gives every other listener silence. Must
+	// stay below Beta·Noise — the decode floor — so a truncated transmitter
+	// can never have been the decodable one.
 	Tolerance float64
 }
 
@@ -46,17 +48,18 @@ func DefaultParams() Params {
 	return Params{Alpha: 3, Beta: 2, Noise: 0.09, MinDist: 0.01}
 }
 
-// Validate checks the physical constants.
+// Validate checks the physical constants. They must be finite: the exact
+// resolver prunes listeners beyond Range, which needs a finite radius.
 func (p Params) Validate() error {
 	switch {
-	case !(p.Alpha > 0):
-		return fmt.Errorf("sinr: path-loss exponent α = %v must be > 0", p.Alpha)
-	case !(p.Beta > 0):
-		return fmt.Errorf("sinr: threshold β = %v must be > 0", p.Beta)
-	case !(p.Noise > 0):
-		return fmt.Errorf("sinr: noise N = %v must be > 0", p.Noise)
-	case !(p.MinDist > 0):
-		return fmt.Errorf("sinr: near-field clamp d₀ = %v must be > 0", p.MinDist)
+	case !positiveFinite(p.Alpha):
+		return fmt.Errorf("sinr: path-loss exponent α = %v must be finite and > 0", p.Alpha)
+	case !positiveFinite(p.Beta):
+		return fmt.Errorf("sinr: threshold β = %v must be finite and > 0", p.Beta)
+	case !positiveFinite(p.Noise):
+		return fmt.Errorf("sinr: noise N = %v must be finite and > 0", p.Noise)
+	case !positiveFinite(p.MinDist):
+		return fmt.Errorf("sinr: near-field clamp d₀ = %v must be finite and > 0", p.MinDist)
 	case math.IsNaN(p.Tolerance) || p.Tolerance < 0:
 		return fmt.Errorf("sinr: tolerance %v must be ≥ 0", p.Tolerance)
 	case p.Tolerance > 0 && p.Tolerance >= p.Beta*p.Noise:
@@ -65,6 +68,8 @@ func (p Params) Validate() error {
 	}
 	return nil
 }
+
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Range returns the isolation reception range for a transmitter at the given
 // power: the largest distance at which a lone transmission still meets the
@@ -99,28 +104,47 @@ func (p PerNodePower) Power(u int) float64 { return p[u] }
 // transmitter set and it decides, per listener, which transmission (if any)
 // decodes.
 //
-// With Params.Tolerance > 0 the model indexes the placement with the shared
-// geo.GridIndex and resolves large rounds through the region-bucketed
-// resolver (see bucketed.go); the exact resolver remains available as
-// ResolveExact and is the oracle the bucketed path is tested against.
-// Resolve reuses per-round scratch, so a Model must not be shared by
-// concurrent engines.
+// When the placement's geo.GridIndex is dense the model keeps it for two
+// uses. The exact resolver marks, per round, the listeners within isolation
+// range of some transmitter and gives every other listener silence without
+// an interference sum; the marked ones run the full scan, so outcomes are
+// bit-identical to scanning every listener. With Params.Tolerance > 0,
+// large rounds instead go through the region-bucketed resolver (see
+// bucketed.go). Resolve reuses per-round scratch, so a Model must not be
+// shared by concurrent engines.
 type Model struct {
 	p        Params
 	pos      []geo.Point
 	power    []float64 // resolved per-node powers
 	maxPower float64
 
-	grid   *geo.GridIndex // non-nil iff Tolerance > 0 and the index is dense
-	bucket *bucketScratch
+	grid   *geo.GridIndex // non-nil iff the placement's index is dense
+	bucket *bucketScratch // non-nil iff grid is and Tolerance > 0
 	// powMode/minDist2 drive the bucketed path's closed-form d^{−α} from
 	// squared distances (see Model.invPowSq).
 	powMode  int
 	minDist2 float64
+	// stencil covers Range(maxPower) with the candidate slack; nil when
+	// pruning is off and the exact resolver scans every listener.
+	stencil []geo.CellOffset
+	// stamp[u] == round marks listener u as a candidate this round.
+	stamp []uint32
+	round uint32
 	// roundBucketed records which path PrepareRound chose for the current
 	// round (see parallel.go).
 	roundBucketed bool
 }
+
+// candidateSlack widens the squared isolation range a listener must fall
+// inside to be resolved by the exact resolver. It is many orders above the
+// few-ULP error of Dist and math.Pow, so no listener that a full scan would
+// let decode (or block) is skipped.
+const candidateSlack = 1e-6
+
+// pruneMinAlpha is the smallest path-loss exponent the exact resolver
+// prunes at: the slack buys a power margin of about α·candidateSlack/2,
+// which must stay far above rounding.
+const pruneMinAlpha = 1e-6
 
 // NewModel validates the parameters and resolves the power assignment over
 // the placement. pos is typically a dual graph's embedding (Dual.Emb), so
@@ -138,7 +162,7 @@ func NewModel(pos []geo.Point, pa PowerAssignment, p Params) (*Model, error) {
 	m := &Model{p: p, pos: append([]geo.Point(nil), pos...), power: make([]float64, len(pos))}
 	for u := range pos {
 		pw := pa.Power(u)
-		if !(pw > 0) || math.IsInf(pw, 0) || math.IsNaN(pw) {
+		if !positiveFinite(pw) {
 			return nil, fmt.Errorf("sinr: node %d has non-positive power %v", u, pw)
 		}
 		m.power[u] = pw
@@ -151,14 +175,23 @@ func NewModel(pos []geo.Point, pa PowerAssignment, p Params) (*Model, error) {
 	case 2, 3, 4:
 		m.powMode = int(p.Alpha)
 	}
-	if p.Tolerance > 0 {
-		if gi := geo.BuildGridIndex(m.pos); gi.Dense() {
-			m.grid = gi
+	// A sparse index (pathologically spread placement) keeps the plain full
+	// scan: stencil and ring scans over a mostly-empty bounding box would
+	// cost more than they save.
+	if gi := geo.BuildGridIndex(m.pos); gi.Dense() {
+		m.grid = gi
+		if p.Tolerance > 0 {
 			m.bucket = newBucketScratch(gi)
 		}
-		// A sparse index (pathologically spread placement) keeps the exact
-		// resolver: ring scans over a mostly-empty bounding box would cost
-		// more than they save.
+		// Prune only while the stencil's square window stays below n: a
+		// wider one visits more cells per transmitter than a full scan
+		// visits listeners.
+		r := p.Range(m.maxPower) * (1 + candidateSlack)
+		w := math.Floor(r/geo.RegionSide) + 1
+		if p.Alpha >= pruneMinAlpha && (2*w+1)*(2*w+1) <= float64(len(pos)) {
+			m.stencil = geo.NeighborStencil(r)
+			m.stamp = make([]uint32, len(pos))
+		}
 	}
 	return m, nil
 }
@@ -216,24 +249,42 @@ func (m *Model) SINR(u int, v int32, txs []int32) float64 {
 // whose strongest transmitter is beyond the isolation range hears silence,
 // just as a dual-graph listener with no transmitting topology neighbor does.
 //
-// When the model was built with a positive Tolerance and the transmitter set
-// is large enough to pay for the bucketing, resolution goes through the
-// region-bucketed resolver; small rounds and tolerance-zero models use the
-// exact resolver.
+// Resolve is PrepareRound followed by ResolveRange over every listener, so
+// the sequential and sharded drivers share one code path: large rounds of a
+// model with positive Tolerance go through the region-bucketed resolver,
+// every other round through the exact one.
 func (m *Model) Resolve(t int, txs []int32, out []int32) {
-	if m.grid != nil && len(txs) >= BucketedMinTx {
-		m.resolveBucketed(txs, out)
-		return
-	}
-	m.ResolveExact(t, txs, out)
+	m.PrepareRound(t, txs)
+	m.ResolveRange(t, txs, out, 0, len(out))
 }
 
-// ResolveExact is the O(n·|txs|) reference resolver: every listener scans
-// the full transmitter set. It is the test oracle of the bucketed resolver
-// and the default when no tolerance was configured.
-func (m *Model) ResolveExact(t int, txs []int32, out []int32) {
-	for u := range out {
-		out[u] = m.resolveOne(u, txs)
+// markCandidates stamps every listener within isolation range of some
+// transmitter, slack included. A listener left unstamped receives every
+// transmission below the decode floor β·N, so resolveOne would give it
+// silence.
+func (m *Model) markCandidates(txs []int32) {
+	m.round++
+	if m.round == 0 {
+		clear(m.stamp)
+		m.round = 1
+	}
+	for _, w := range txs {
+		r := m.p.Range(m.power[w])
+		r2 := r * r * (1 + candidateSlack)
+		pw := m.pos[w]
+		center := m.grid.RegionOfVertex(int(w))
+		for _, o := range m.stencil {
+			ri, ok := m.grid.IndexOf(geo.RegionID{I: center.I + o.DI, J: center.J + o.DJ})
+			if !ok {
+				continue
+			}
+			for _, v := range m.grid.MembersAt(ri) {
+				dx, dy := m.pos[v].X-pw.X, m.pos[v].Y-pw.Y
+				if dx*dx+dy*dy <= r2 {
+					m.stamp[v] = m.round
+				}
+			}
+		}
 	}
 }
 

@@ -28,6 +28,11 @@ func TestParamsValidate(t *testing.T) {
 		{Alpha: 3, Beta: 2, Noise: 0, MinDist: 0.01},
 		{Alpha: 3, Beta: 2, Noise: 0.1, MinDist: 0},
 		{Alpha: math.NaN(), Beta: 2, Noise: 0.1, MinDist: 0.01},
+		{Alpha: math.Inf(1), Beta: 2, Noise: 0.1, MinDist: 0.01},
+		{Alpha: 3, Beta: math.Inf(1), Noise: 0.1, MinDist: 0.01},
+		{Alpha: 3, Beta: 2, Noise: math.Inf(1), MinDist: 0.01},
+		{Alpha: 3, Beta: 2, Noise: 0.1, MinDist: math.Inf(1)},
+		{Alpha: math.Inf(-1), Beta: 2, Noise: 0.1, MinDist: 0.01},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
