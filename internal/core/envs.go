@@ -62,9 +62,14 @@ func (e *SingleShotEnv) Pending() int { return len(e.queue) }
 type SaturatingEnv struct {
 	procs   []Service
 	senders []int
-	ready   map[int]bool
-	acks    map[int]int
-	seq     int
+	// Per-node slots. OnAck fires inside the acking node's Receive, which
+	// the worker-pool driver runs concurrently with other nodes' Receive
+	// calls, so each callback writes only its own node's ready and acks
+	// entries; sender is fixed at construction.
+	sender []bool
+	ready  []bool
+	acks   []int
+	seq    int
 }
 
 // NewSaturatingEnv builds the environment and hooks the senders' OnAck
@@ -73,18 +78,25 @@ func NewSaturatingEnv(procs []Service, senders []int) *SaturatingEnv {
 	e := &SaturatingEnv{
 		procs:   procs,
 		senders: append([]int(nil), senders...),
-		ready:   make(map[int]bool, len(senders)),
-		acks:    make(map[int]int, len(senders)),
+		sender:  make([]bool, len(procs)),
+		ready:   make([]bool, len(procs)),
+		acks:    make([]int, len(procs)),
 	}
 	for _, s := range e.senders {
-		e.ready[s] = true
-		node := s
-		procs[s].SetOnAck(func(Message) {
-			e.acks[node]++
-			e.ready[node] = true
-		})
+		e.sender[s] = true
+		e.arm(s)
 	}
 	return e
+}
+
+// arm plants the sender's OnAck callback and marks it ready for a fresh
+// bcast at the next BeforeRound.
+func (e *SaturatingEnv) arm(node int) {
+	e.procs[node].SetOnAck(func(Message) {
+		e.acks[node]++
+		e.ready[node] = true
+	})
+	e.ready[node] = true
 }
 
 // BeforeRound implements sim.Environment.
@@ -113,14 +125,9 @@ func (e *SaturatingEnv) AfterRound(int) {}
 // the next BeforeRound (any broadcast in flight at the crash is counted as
 // lost, not acked). No-op for nodes that are not senders.
 func (e *SaturatingEnv) Rearm(node int) {
-	if _, ok := e.ready[node]; !ok {
-		return
+	if e.sender[node] {
+		e.arm(node)
 	}
-	e.procs[node].SetOnAck(func(Message) {
-		e.acks[node]++
-		e.ready[node] = true
-	})
-	e.ready[node] = true
 }
 
 // Acks returns the ack count observed for the given sender.

@@ -83,8 +83,10 @@ func TestMidPhaseBcastWaitsForBoundary(t *testing.T) {
 }
 
 // TestLBAlgUnderGoroutineDriver checks engine-driver parity at the protocol
-// level: identical traces from the sequential and goroutine-per-node
-// drivers.
+// level: identical traces from the sequential driver and from the worker
+// pool at 1, 2 and 7 workers, which run the per-node processes in one, two
+// and six chunks. The saturating environment's ack callbacks fire on the
+// pool's workers, so under -race this also guards its bookkeeping.
 func TestLBAlgUnderGoroutineDriver(t *testing.T) {
 	rng := xrand.New(31)
 	d, err := dualgraph.SingleHopCluster(6, 1, rng)
@@ -92,7 +94,7 @@ func TestLBAlgUnderGoroutineDriver(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := testParams(t, d.Delta(), d.DeltaPrime(), 0.25)
-	run := func(driver sim.Driver) (int, int) {
+	run := func(driver sim.Driver, workers int) (int, int) {
 		procs := make([]*LBAlg, d.N())
 		simProcs := make([]sim.Process, d.N())
 		svcs := make([]Service, d.N())
@@ -103,7 +105,7 @@ func TestLBAlgUnderGoroutineDriver(t *testing.T) {
 		}
 		env := NewSaturatingEnv(svcs, []int{0, 1})
 		e, err := sim.New(sim.Config{Dual: d, Procs: simProcs, Sched: sched.Random{P: 0.5, Seed: 3},
-			Env: env, Seed: 17, Driver: driver})
+			Env: env, Seed: 17, Driver: driver, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +113,13 @@ func TestLBAlgUnderGoroutineDriver(t *testing.T) {
 		e.Close()
 		return e.Trace().Len(), e.Trace().Deliveries
 	}
-	seqEvents, seqDel := run(sim.DriverSequential)
-	goEvents, goDel := run(sim.DriverGoroutinePerNode)
-	if seqEvents != goEvents || seqDel != goDel {
-		t.Errorf("drivers diverged: sequential (%d ev, %d del) vs goroutine (%d ev, %d del)",
-			seqEvents, seqDel, goEvents, goDel)
+	seqEvents, seqDel := run(sim.DriverSequential, 0)
+	for _, w := range []int{1, 2, 7} {
+		poolEvents, poolDel := run(sim.DriverWorkerPool, w)
+		if seqEvents != poolEvents || seqDel != poolDel {
+			t.Errorf("drivers diverged: sequential (%d ev, %d del) vs pool with %d workers (%d ev, %d del)",
+				seqEvents, seqDel, w, poolEvents, poolDel)
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ func TestRangesCoversEveryItemOnce(t *testing.T) {
 }
 
 func TestRangesMatchesEngineSplit(t *testing.T) {
-	// The chunking must match the engine's parallelNodes split so per-worker
+	// The chunking must match the engine's runBank split so per-worker
 	// results merged in worker order reproduce sequential item order.
 	n, workers := 10, 4
 	var got [][2]int

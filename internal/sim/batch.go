@@ -62,9 +62,10 @@ type RoundFlusher interface {
 	FlushRound(t int, tr *Trace)
 }
 
-// ProcessBank executes node ranges in batch. Config.Bank supplies one
-// alongside the per-node Procs handles (which remain the Init path, the
-// goroutine-per-node driver's unit, and the oracle for equivalence tests).
+// ProcessBank executes node ranges in batch. It is the engine's only
+// protocol path: Config.Bank supplies one alongside the per-node Procs
+// handles (which remain the Init path and the oracle for equivalence
+// tests), and without one the engine wraps Procs in procBank.
 // Range calls for the same phase never overlap and jointly cover [0, n);
 // under the worker-pool driver they run concurrently on disjoint ranges, so
 // a bank's per-node state must be independent across nodes exactly as
@@ -79,4 +80,20 @@ type ProcessBank interface {
 	// resolving each node's outcome from v (see RoundView.Rx) exactly as the
 	// engine's deliver would have, and skipping down nodes.
 	ReceiveRange(t, lo, hi int, v *RoundView)
+}
+
+// procBank is the engine's ProcessBank over per-node Process handles, used
+// when Config.Bank is nil: each range call steps its nodes one by one.
+type procBank struct{ e *Engine }
+
+func (b procBank) TransmitRange(_, lo, hi int, _ *RoundView) {
+	for u := lo; u < hi; u++ {
+		b.e.stepTx(u)
+	}
+}
+
+func (b procBank) ReceiveRange(_, lo, hi int, _ *RoundView) {
+	for u := lo; u < hi; u++ {
+		b.e.deliver(u)
+	}
 }

@@ -10,9 +10,10 @@
 // and v is the only transmitter among u's neighbors in that topology;
 // otherwise u receives the null indicator ⊥ (no collision detection).
 //
-// Three interchangeable drivers run the same semantics: a sequential loop, a
-// chunked worker pool, and a goroutine-per-node driver in which every
-// simulated process is its own goroutine synchronised by round barriers.
-// Per-node deterministic RNG streams make all three produce identical
-// executions.
+// Protocols enter the engine through one interface, ProcessBank, which steps
+// contiguous node ranges; per-node Process implementations run through an
+// internal bank that calls them one by one. Two interchangeable drivers run
+// the same semantics: a sequential loop and a chunked worker pool. Per-node
+// deterministic RNG streams make both produce identical executions at every
+// worker count.
 package sim

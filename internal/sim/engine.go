@@ -23,10 +23,6 @@ const (
 	// itself is sharded across the workers when the transmitter set is
 	// large enough to pay for the fan-out.
 	DriverWorkerPool
-	// DriverGoroutinePerNode runs every simulated process as its own
-	// goroutine — the natural Go rendering of "one process per device" —
-	// synchronised by per-round barriers.
-	DriverGoroutinePerNode
 )
 
 // Config assembles an execution: the paper's "configuration" is a dual
@@ -36,13 +32,15 @@ type Config struct {
 	Dual  *dualgraph.Dual
 	Procs []Process
 	// Bank, when non-nil, executes the transmit and receive phases in
-	// contiguous node ranges instead of per-node Process calls (see
-	// ProcessBank). Procs must still hold the per-node handles of the same
-	// protocol state: Init runs through them, and the goroutine-per-node
-	// driver keeps stepping them individually. Incompatible with
-	// ReplaceProc (a bank owns all nodes' state; see lifecycle.go).
+	// contiguous node ranges (see ProcessBank). Procs must still hold the
+	// per-node handles of the same protocol state: Init runs through them.
+	// When nil, the engine steps Procs through an internal per-node bank.
+	// A caller-supplied bank is incompatible with ReplaceProc (it owns all
+	// nodes' state; see lifecycle.go).
 	Bank ProcessBank
-	// Sched may be nil: no unreliable edges are ever included.
+	// Sched may be nil: no unreliable edges are ever included. A non-nil
+	// scheduler must implement both SparseLinkScheduler and
+	// BatchLinkScheduler.
 	Sched LinkScheduler
 	// Reception, when non-nil, replaces the dual-graph scatter as the
 	// physical layer (see ReceptionModel). Mutually exclusive with Sched.
@@ -53,7 +51,8 @@ type Config struct {
 	Seed uint64
 	// Driver defaults to DriverSequential.
 	Driver Driver
-	// Workers bounds DriverWorkerPool concurrency; 0 means GOMAXPROCS.
+	// Workers bounds DriverWorkerPool concurrency; 0 means GOMAXPROCS. The
+	// sequential driver always runs one worker.
 	Workers int
 	// Trace may be nil; a fresh Trace is then created.
 	Trace *Trace
@@ -68,7 +67,8 @@ const (
 	incNone inclusionMode = iota
 	// incAll: every unreliable edge is included this round.
 	incAll
-	// incMask: e.included holds the round's full inclusion mask.
+	// incMask: e.included holds the round's full inclusion mask (dense
+	// rounds, see Step).
 	incMask
 	// incSparse: query e.sparse.IncludedFor on transmitter-incident edges.
 	incSparse
@@ -96,18 +96,18 @@ type scatterShard struct {
 
 // Engine executes rounds of a configuration.
 type Engine struct {
-	dual   *dualgraph.Dual
-	procs  []Process
-	bank   ProcessBank  // non-nil: batch path for transmit/receive phases
-	flush  RoundFlusher // non-nil when bank also bulk-records (see batch.go)
-	sched  LinkScheduler
-	batch  BatchLinkScheduler  // non-nil when sched supports batch fills
-	sparse SparseLinkScheduler // non-nil when sched supports subset queries
-	recv   ReceptionModel      // non-nil when a model replaces the scatter
-	env    Environment
-	driver Driver
-	wrk    int
-	trace  *Trace
+	dual     *dualgraph.Dual
+	procs    []Process
+	bank     ProcessBank         // the transmit/receive phases; procBank if Config.Bank is nil
+	userBank bool                // bank came from Config.Bank (ReplaceProc refuses it)
+	flush    RoundFlusher        // non-nil when bank also bulk-records (see batch.go)
+	batch    BatchLinkScheduler  // Config.Sched's mask fill; nil without a scheduler
+	sparse   SparseLinkScheduler // Config.Sched's subset queries; nil without a scheduler
+	aware    TransmitterAware    // non-nil when Config.Sched is adaptive
+	recv     ReceptionModel      // non-nil when a model replaces the scatter
+	env      Environment
+	wrk      int // worker count; 1 under DriverSequential
+	trace    *Trace
 
 	round int // last executed round; rounds are 1-indexed as in the paper
 
@@ -157,24 +157,19 @@ type Engine struct {
 	shards []*scatterShard
 
 	// pool is the persistent worker pool of the worker-pool driver, started
-	// lazily on the first parallel phase and stopped by Close. Both the
-	// per-node phases and the sharded scatter dispatch onto it, so the
-	// steady state spawns no goroutines at all (previously ~2 per round).
+	// lazily on the first parallel phase and stopped by Close. The bank
+	// phases, the sharded scatter and sharded reception all dispatch onto
+	// it, so the steady state spawns no goroutines at all.
 	pool *workerPool
 
-	// txFn/rxFn are the cached per-node phase bodies handed to the worker
-	// pool, built once so parallel rounds allocate nothing. poolNodeFn and
-	// poolScatterFn are the cached per-worker bodies dispatched to the pool;
-	// their per-call inputs travel through the poolTask/poolChunk/poolN and
-	// scatterChunk/scatterMode fields to keep dispatch allocation-free.
-	txFn, rxFn    func(u int)
-	poolNodeFn    func(w int)
+	// poolBankFn, poolScatterFn and poolResolveFn are the cached per-worker
+	// bodies dispatched to the pool, built once so parallel rounds allocate
+	// nothing; their per-call inputs travel through the poolChunk/bankTx,
+	// scatterChunk/scatterMode and resolveChunk fields.
 	poolBankFn    func(w int)
 	poolScatterFn func(w int)
 	poolResolveFn func(w int)
-	poolTask      func(u int)
 	poolChunk     int
-	poolN         int
 	bankTx        bool // poolBankFn phase selector: transmit vs receive
 	scatterChunk  int
 	scatterMode   inclusionMode
@@ -185,19 +180,7 @@ type Engine struct {
 	// order (recorders push concurrently), sorted at drain time.
 	dirtyIdx []int32
 	dirtyLen atomic.Int32
-
-	// Goroutine-per-node driver state.
-	nodeCmd  []chan nodeCommand
-	nodeDone chan struct{}
 }
-
-type nodeCommand int
-
-const (
-	cmdTransmit nodeCommand = iota + 1
-	cmdReceive
-	cmdStop
-)
 
 // New validates the configuration and prepares an engine positioned before
 // round 1.
@@ -211,13 +194,16 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Reception != nil && cfg.Sched != nil {
 		return nil, fmt.Errorf("sim: Config.Sched and Config.Reception are mutually exclusive")
 	}
-	driver := cfg.Driver
-	if driver == 0 {
-		driver = DriverSequential
-	}
 	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	switch cfg.Driver {
+	case 0, DriverSequential:
+		workers = 1
+	case DriverWorkerPool:
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+	default:
+		return nil, fmt.Errorf("sim: unknown Config.Driver %d", cfg.Driver)
 	}
 	trace := cfg.Trace
 	if trace == nil {
@@ -228,13 +214,11 @@ func New(cfg Config) (*Engine, error) {
 		dual:     cfg.Dual,
 		procs:    cfg.Procs,
 		bank:     cfg.Bank,
-		sched:    cfg.Sched,
+		userBank: cfg.Bank != nil,
 		env:      cfg.Env,
-		driver:   driver,
 		wrk:      workers,
 		trace:    trace,
-		gCSR:     cfg.Dual.ReliableCSR(),
-		uCSR:     cfg.Dual.UnreliableCSR(),
+		seed:     cfg.Seed,
 		payloads: make([]any, n),
 		transmit: make([]bool, n),
 		txList:   make([]int32, 0, n),
@@ -242,7 +226,9 @@ func New(cfg Config) (*Engine, error) {
 		recs:     make([]nodeRecorder, n),
 	}
 	e.view = RoundView{Payloads: e.payloads, Transmit: e.transmit, Rx: e.rx}
-	e.seed = cfg.Seed
+	if e.bank == nil {
+		e.bank = procBank{e}
+	}
 	if f, ok := cfg.Bank.(RoundFlusher); ok {
 		e.flush = f
 	}
@@ -253,42 +239,27 @@ func New(cfg Config) (*Engine, error) {
 			e.sharded = s
 		}
 	}
-	for u := 0; u < n; u++ {
-		if d := int(e.uCSR.Off[u+1] - e.uCSR.Off[u]); d > e.maxUDeg {
-			e.maxUDeg = d
+	if cfg.Sched != nil {
+		// Uniform rounds skip per-edge resolution entirely, non-uniform
+		// rounds resolve transmitter-incident subsets into incBuf, and the
+		// batch mask is the dense-round fallback (see Step).
+		sparse, okS := cfg.Sched.(SparseLinkScheduler)
+		batch, okB := cfg.Sched.(BatchLinkScheduler)
+		if !okS || !okB {
+			return nil, fmt.Errorf("sim: Config.Sched %T must implement SparseLinkScheduler and BatchLinkScheduler", cfg.Sched)
 		}
+		e.sparse, e.batch = sparse, batch
+		e.aware, _ = cfg.Sched.(TransmitterAware)
 	}
-	if s, ok := cfg.Sched.(SparseLinkScheduler); ok {
-		// Sparse schedulers usually skip the full mask: uniform rounds skip
-		// per-edge resolution entirely, non-uniform rounds resolve
-		// transmitter-incident subsets into incBuf. The batch mask is kept
-		// as the dense-round fallback (see Step).
-		e.sparse = s
-		e.incBuf = make([]bool, e.maxUDeg)
-	}
-	if b, ok := cfg.Sched.(BatchLinkScheduler); ok {
-		e.batch = b
-	}
-	if e.sparse == nil || e.batch != nil {
-		e.included = make([]bool, len(cfg.Dual.UnreliableEdges()))
-	}
+	e.RefreshTopology() // flattened topology, Δ/Δ′ and the scheduler scratch
 	e.dirtyIdx = make([]int32, n)
 	for u := 0; u < n; u++ {
 		e.recs[u].eng = e
 		e.recs[u].node = int32(u)
 	}
-	e.txFn = e.stepTx
-	e.rxFn = e.deliver
-	e.poolNodeFn = func(w int) {
-		lo := w * e.poolChunk
-		hi := min(lo+e.poolChunk, e.poolN)
-		for u := lo; u < hi; u++ {
-			e.poolTask(u)
-		}
-	}
 	e.poolBankFn = func(w int) {
 		lo := w * e.poolChunk
-		hi := min(lo+e.poolChunk, e.poolN)
+		hi := min(lo+e.poolChunk, n)
 		if lo >= hi {
 			return
 		}
@@ -315,23 +286,10 @@ func New(cfg Config) (*Engine, error) {
 			e.sharded.ResolveRange(e.round, e.txList, e.recvOut, lo, hi)
 		}
 	}
-	delta, deltaPrime := cfg.Dual.Delta(), cfg.Dual.DeltaPrime()
-	e.delta, e.deltaP = delta, deltaPrime
-	for u := 0; u < n; u++ {
-		env := &NodeEnv{
-			ID:         u,
-			Delta:      delta,
-			DeltaPrime: deltaPrime,
-			R:          cfg.Dual.R,
-			Rng:        xrand.NodeSource(cfg.Seed, u),
-			Rec:        &e.recs[u],
-		}
-		cfg.Procs[u].Init(env)
+	for u, p := range cfg.Procs {
+		e.initProc(u, p, xrand.NodeSource(cfg.Seed, u))
 	}
 	e.drainRecorders(0)
-	if driver == DriverGoroutinePerNode {
-		e.startNodeGoroutines()
-	}
 	return e, nil
 }
 
@@ -362,30 +320,13 @@ func (e *Engine) Step() {
 	// last round (SetDown allocates it lazily), so the bank's view is
 	// refreshed here before any range call reads it.
 	e.view.Down = e.down
-	switch e.driver {
-	case DriverSequential:
-		if e.bank != nil {
-			e.bank.TransmitRange(t, 0, len(e.procs), &e.view)
-		} else {
-			for u := range e.procs {
-				e.stepTx(u)
-			}
-		}
-	case DriverWorkerPool:
-		if e.bank != nil {
-			e.parallelBank(true)
-		} else {
-			e.parallelNodes(e.txFn)
-		}
-	case DriverGoroutinePerNode:
-		e.nodePhase(cmdTransmit)
-	}
+	e.runBank(true)
 	e.drainRecorders(t)
 
 	// Adaptive adversaries observe the fixed decisions before the topology
 	// is resolved (explicit model violation, see TransmitterAware).
-	if ta, ok := e.sched.(TransmitterAware); ok {
-		ta.ObserveTransmitters(t, e.transmit)
+	if e.aware != nil {
+		e.aware.ObserveTransmitters(t, e.transmit)
 	}
 
 	// Collect this round's transmitters (ascending): both the inclusion-
@@ -405,9 +346,7 @@ func (e *Engine) Step() {
 	// When the transmitter set is so dense that subset queries would
 	// exceed one pass over the mask (an edge between two transmitters is
 	// queried from both endpoints), the batch fill is the cheaper path and
-	// the engine falls back to it. Batch-capable schedulers without subset
-	// queries fill the whole mask in one call; the shim queries the mask
-	// once per edge per round.
+	// the engine falls back to it.
 	// A reception model bypasses the whole dual-graph path: no link schedule
 	// is resolved and no scatter runs; the model fills the per-node outcome
 	// slots directly (see resolveModel).
@@ -425,25 +364,15 @@ func (e *Engine) Step() {
 			}
 		} else {
 			mode = incSparse
-			if e.batch != nil {
-				uDegSum := 0
-				for _, v := range e.txList {
-					uDegSum += int(e.uCSR.Off[v+1] - e.uCSR.Off[v])
-				}
-				if uDegSum > len(e.included) {
-					e.batch.IncludedBatch(t, e.included)
-					mode = incMask
-				}
+			uDegSum := 0
+			for _, v := range e.txList {
+				uDegSum += int(e.uCSR.Off[v+1] - e.uCSR.Off[v])
+			}
+			if uDegSum > len(e.included) {
+				e.batch.IncludedBatch(t, e.included)
+				mode = incMask
 			}
 		}
-	} else if e.batch != nil {
-		e.batch.IncludedBatch(t, e.included)
-		mode = incMask
-	} else if e.sched != nil {
-		for i := range e.included {
-			e.included[i] = e.sched.Included(t, i)
-		}
-		mode = incMask
 	}
 
 	// Step 3: receptions under the collision rule. Scatter from the
@@ -463,25 +392,7 @@ func (e *Engine) finishRound(t int) {
 	// Delivery mutates process state; each node resolves its own reception
 	// outcome from the scatter counts (deliver fuses the per-node outcome
 	// decision with the Receive call, so no separate O(n) pass runs).
-	// Under the goroutine-per-node driver each node consumes its own slot.
-	switch e.driver {
-	case DriverSequential:
-		if e.bank != nil {
-			e.bank.ReceiveRange(t, 0, len(e.procs), &e.view)
-		} else {
-			for u := range e.procs {
-				e.deliver(u)
-			}
-		}
-	case DriverWorkerPool:
-		if e.bank != nil {
-			e.parallelBank(false)
-		} else {
-			e.parallelNodes(e.rxFn)
-		}
-	case DriverGoroutinePerNode:
-		e.nodePhase(cmdReceive)
-	}
+	e.runBank(false)
 
 	// Stats fall out of the scatter counts over the touched-node list: a
 	// listener with one transmitting topology neighbor received, one with
@@ -527,7 +438,7 @@ func (e *Engine) finishRound(t int) {
 // scatter is sharded across workers and merged deterministically.
 func (e *Engine) scatter(t int, mode inclusionMode) {
 	e.touched = e.touched[:0]
-	if e.driver == DriverWorkerPool && e.wrk > 1 && len(e.txList) >= parallelScatterMinTx {
+	if e.wrk > 1 && len(e.txList) >= parallelScatterMinTx {
 		e.scatterParallel(t, mode)
 		return
 	}
@@ -635,7 +546,7 @@ func (e *Engine) scatterParallel(t int, mode inclusionMode) {
 // leaves the node untouched.
 func (e *Engine) resolveModel(t int) {
 	e.touched = e.touched[:0]
-	if e.sharded != nil && e.driver == DriverWorkerPool && e.wrk > 1 &&
+	if e.sharded != nil && e.wrk > 1 &&
 		len(e.procs) >= parallelResolveMinListeners && e.sharded.PrepareRound(t, e.txList) {
 		e.resolveSharded()
 	} else {
@@ -673,7 +584,7 @@ func (e *Engine) ensureShards(workers int) {
 // transmitting topology neighbor hears that transmitter (reading the payload
 // from its slot in the shared table); everyone else — transmitters, silent
 // listeners, collision victims — gets ⊥. Every field it touches is indexed
-// by u, so drivers may run delivers concurrently.
+// by u, so workers may run delivers on disjoint ranges concurrently.
 func (e *Engine) deliver(u int) {
 	if e.down != nil && e.down[u] {
 		return // a crashed node's process does not run, not even for ⊥
@@ -687,15 +598,13 @@ func (e *Engine) deliver(u int) {
 	e.procs[u].Receive(t, NoTransmitter, nil, false)
 }
 
-// parallelBank fans a bank phase out over the persistent worker pool using
-// the same contiguous chunking as parallelNodes, so a bank sees exactly the
-// node ranges the per-node path would have stepped per worker.
-func (e *Engine) parallelBank(tx bool) {
+// runBank runs one bank phase (transmit when tx, else receive) over all
+// nodes. With more than one worker the node range is cut into contiguous
+// chunks, one per worker on the persistent pool; the split depends only on
+// n and the worker count, so every driver sees the same decisions.
+func (e *Engine) runBank(tx bool) {
 	n := len(e.procs)
-	workers := e.wrk
-	if workers > n {
-		workers = n
-	}
+	workers := min(e.wrk, n)
 	if workers <= 1 {
 		if tx {
 			e.bank.TransmitRange(e.round, 0, n, &e.view)
@@ -706,31 +615,9 @@ func (e *Engine) parallelBank(tx bool) {
 	}
 	chunk := (n + workers - 1) / workers
 	active := (n + chunk - 1) / chunk
-	e.poolChunk, e.poolN, e.bankTx = chunk, n, tx
+	e.poolChunk, e.bankTx = chunk, tx
 	e.ensurePool()
 	e.pool.run(active, e.poolBankFn)
-}
-
-// parallelNodes applies fn to every node index using the persistent worker
-// pool, chunking the node range exactly as the spawn-per-phase version did
-// so executions (and traces) are unchanged.
-func (e *Engine) parallelNodes(fn func(u int)) {
-	n := len(e.procs)
-	workers := e.wrk
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for u := 0; u < n; u++ {
-			fn(u)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	active := (n + chunk - 1) / chunk
-	e.poolTask, e.poolChunk, e.poolN = fn, chunk, n
-	e.ensurePool()
-	e.pool.run(active, e.poolNodeFn)
 }
 
 // workerPool is the persistent pool owned by the worker-pool driver: one
@@ -798,60 +685,13 @@ func (e *Engine) ensurePool() {
 	}
 }
 
-// startNodeGoroutines launches one goroutine per node for the
-// goroutine-per-node driver. Nodes are directed through phases by
-// commands on their private channel; command channels double as the
-// happens-before edge for the engine's shared round state.
-func (e *Engine) startNodeGoroutines() {
-	n := len(e.procs)
-	e.nodeCmd = make([]chan nodeCommand, n)
-	e.nodeDone = make(chan struct{}, n)
-	for u := 0; u < n; u++ {
-		e.nodeCmd[u] = make(chan nodeCommand, 1)
-		go e.nodeLoop(u)
-	}
-}
-
-func (e *Engine) nodeLoop(u int) {
-	for cmd := range e.nodeCmd[u] {
-		switch cmd {
-		case cmdTransmit:
-			e.stepTx(u)
-		case cmdReceive:
-			e.deliver(u)
-		case cmdStop:
-			e.nodeDone <- struct{}{}
-			return
-		}
-		e.nodeDone <- struct{}{}
-	}
-}
-
-// nodePhase directs all node goroutines through one phase and waits for
-// completion.
-func (e *Engine) nodePhase(cmd nodeCommand) {
-	for u := range e.nodeCmd {
-		e.nodeCmd[u] <- cmd
-	}
-	for range e.nodeCmd {
-		<-e.nodeDone
-	}
-}
-
-// Close releases driver goroutines: the persistent worker pool of the
-// worker-pool driver and the node goroutines of the goroutine-per-node
-// driver. It is a no-op for the sequential driver and safe to call multiple
-// times.
+// Close releases the persistent worker pool of the worker-pool driver. It is
+// a no-op for the sequential driver and safe to call multiple times.
 func (e *Engine) Close() {
 	if e.pool != nil {
 		e.pool.stop()
 		e.pool = nil
 	}
-	if e.nodeCmd == nil {
-		return
-	}
-	e.nodePhase(cmdStop)
-	e.nodeCmd = nil
 }
 
 // drainRecorders appends buffered events to the trace in node order,

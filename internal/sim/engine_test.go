@@ -75,9 +75,9 @@ func (c *coinProc) Receive(t, from int, payload any, ok bool) {
 }
 
 // newTestEngine constructs an engine and registers Close on test cleanup,
-// so goroutine-per-node drivers can never leak node goroutines into later
-// tests or benchmarks — even when an assertion fails before the explicit
-// Close. Close is idempotent and a no-op for the other drivers.
+// so worker-pool engines can never leak pool goroutines into later tests or
+// benchmarks — even when an assertion fails before the explicit Close.
+// Close is idempotent and a no-op for the sequential driver.
 func newTestEngine(tb testing.TB, cfg Config) *Engine {
 	tb.Helper()
 	e, err := New(cfg)
@@ -113,6 +113,10 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Dual: d, Procs: []Process{newScriptProc(nil)}}); err == nil {
 		t.Error("want error for process count mismatch")
+	}
+	procs := []Process{newScriptProc(nil), newScriptProc(nil), newScriptProc(nil)}
+	if _, err := New(Config{Dual: d, Procs: procs, Driver: DriverWorkerPool + 1}); err == nil {
+		t.Error("want error for an unknown driver")
 	}
 }
 
@@ -318,23 +322,26 @@ func TestAdaptiveSchedulerIntegration(t *testing.T) {
 }
 
 func TestDriverParity(t *testing.T) {
-	// The three drivers must produce identical executions for identical
-	// configurations: same receptions at every node, same trace stats.
+	// Both drivers must produce identical executions for identical
+	// configurations at every worker count: same receptions at every node,
+	// same trace stats. Workers 1, 2 and 7 split the 8 per-node processes
+	// into one, two even and four uneven chunks.
 	d := must(t)(dualgraph.Abstract(8,
 		[]dualgraph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 5}, {U: 5, V: 6}, {U: 6, V: 7}},
 		[]dualgraph.Edge{{U: 0, V: 2}, {U: 1, V: 3}, {U: 2, V: 4}, {U: 3, V: 5}, {U: 4, V: 6}},
 	))
-	run := func(driver Driver) ([]int, Trace) {
+	run := func(driver Driver, workers int) ([]int, Trace) {
 		procs := make([]Process, d.N())
 		for u := range procs {
 			procs[u] = &coinProc{p: 0.3}
 		}
 		e := newTestEngine(t, Config{
-			Dual:   d,
-			Procs:  procs,
-			Sched:  sched.Random{P: 0.5, Seed: 11},
-			Seed:   77,
-			Driver: driver,
+			Dual:    d,
+			Procs:   procs,
+			Sched:   sched.Random{P: 0.5, Seed: 11},
+			Seed:    77,
+			Driver:  driver,
+			Workers: workers,
 		})
 		e.Run(200)
 		e.Close()
@@ -345,19 +352,14 @@ func TestDriverParity(t *testing.T) {
 		return heard, *e.Trace()
 	}
 
-	heardSeq, traceSeq := run(DriverSequential)
-	heardPool, tracePool := run(DriverWorkerPool)
-	heardGo, traceGo := run(DriverGoroutinePerNode)
-
-	if !reflect.DeepEqual(heardSeq, heardPool) {
-		t.Errorf("worker pool diverged: %v vs %v", heardPool, heardSeq)
-	}
-	if !reflect.DeepEqual(heardSeq, heardGo) {
-		t.Errorf("goroutine-per-node diverged: %v vs %v", heardGo, heardSeq)
-	}
-	for name, tr := range map[string]Trace{"pool": tracePool, "goroutine": traceGo} {
+	heardSeq, traceSeq := run(DriverSequential, 0)
+	for _, workers := range []int{1, 2, 7} {
+		heardPool, tr := run(DriverWorkerPool, workers)
+		if !reflect.DeepEqual(heardSeq, heardPool) {
+			t.Errorf("worker pool (%d workers) diverged: %v vs %v", workers, heardPool, heardSeq)
+		}
 		if tr.Transmissions != traceSeq.Transmissions || tr.Deliveries != traceSeq.Deliveries || tr.Collisions != traceSeq.Collisions {
-			t.Errorf("%s trace stats diverged: %+v vs %+v", name, tr, traceSeq)
+			t.Errorf("pool (%d workers) trace stats diverged: %+v vs %+v", workers, tr, traceSeq)
 		}
 	}
 }
@@ -396,25 +398,28 @@ func TestSeedChangesExecution(t *testing.T) {
 
 func TestRecorderEventsOrdered(t *testing.T) {
 	// Events recorded by processes must appear in deterministic node order
-	// per round regardless of driver.
+	// per round regardless of driver and worker count.
 	d := must(t)(dualgraph.Abstract(4, []dualgraph.Edge{{U: 0, V: 1}, {U: 2, V: 3}}, nil))
-	for _, driver := range []Driver{DriverSequential, DriverWorkerPool, DriverGoroutinePerNode} {
+	for _, dc := range []struct {
+		driver  Driver
+		workers int
+	}{{DriverSequential, 0}, {DriverWorkerPool, 1}, {DriverWorkerPool, 2}, {DriverWorkerPool, 7}} {
 		procs := make([]Process, 4)
 		for u := range procs {
 			procs[u] = &recordingProc{}
 		}
-		e := newTestEngine(t, Config{Dual: d, Procs: procs, Driver: driver})
+		e := newTestEngine(t, Config{Dual: d, Procs: procs, Driver: dc.driver, Workers: dc.workers})
 		e.Run(3)
 		e.Close()
 		evs := e.Trace().AppendEvents(nil)
 		if len(evs) != 12 {
-			t.Fatalf("driver %d: %d events, want 12", driver, len(evs))
+			t.Fatalf("driver %d/%d workers: %d events, want 12", dc.driver, dc.workers, len(evs))
 		}
 		for i, ev := range evs {
 			wantRound, wantNode := i/4+1, i%4
 			if ev.Round != wantRound || ev.Node != wantNode {
-				t.Fatalf("driver %d: event %d = %+v, want round %d node %d",
-					driver, i, ev, wantRound, wantNode)
+				t.Fatalf("driver %d/%d workers: event %d = %+v, want round %d node %d",
+					dc.driver, dc.workers, i, ev, wantRound, wantNode)
 			}
 		}
 	}
@@ -459,7 +464,7 @@ func TestSingletonNetwork(t *testing.T) {
 func TestCloseIdempotent(t *testing.T) {
 	d := lineDual(t)
 	procs := []Process{newScriptProc(nil), newScriptProc(nil), newScriptProc(nil)}
-	e := newTestEngine(t, Config{Dual: d, Procs: procs, Driver: DriverGoroutinePerNode})
+	e := newTestEngine(t, Config{Dual: d, Procs: procs, Driver: DriverWorkerPool, Workers: 2})
 	e.Run(2)
 	e.Close()
 	e.Close()

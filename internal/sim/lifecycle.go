@@ -40,8 +40,8 @@ type ShardedReceptionModel interface {
 	ResolveRange(t int, txs []int32, out []int32, lo, hi int)
 }
 
-// stepTx is the per-node transmit-phase body shared by all three drivers: a
-// down node transmits nothing and its process is not consulted.
+// stepTx is node u's transmit-phase body under procBank: a down node
+// transmits nothing and its process is not consulted.
 func (e *Engine) stepTx(u int) {
 	if e.down != nil && e.down[u] {
 		e.payloads[u], e.transmit[u] = nil, false
@@ -84,6 +84,12 @@ func (e *Engine) SetDown(u int, down bool) {
 	}
 }
 
+// initProc initialises process p as node u: the current Δ/Δ′/r bounds, the
+// given randomness stream and u's recorder.
+func (e *Engine) initProc(u int, p Process, rng *xrand.Source) {
+	p.Init(&NodeEnv{ID: u, Delta: e.delta, DeltaPrime: e.deltaP, R: e.dual.R, Rng: rng, Rec: &e.recs[u]})
+}
+
 // IsDown reports whether node u's radio is currently down.
 func (e *Engine) IsDown(u int) bool { return e.down != nil && e.down[u] }
 
@@ -93,11 +99,11 @@ func (e *Engine) IsDown(u int) bool { return e.down != nil && e.down[u] }
 // not replay its predecessor's coin flips. The previous process is
 // abandoned mid-state, which is precisely what a crash means.
 func (e *Engine) ReplaceProc(u int, p Process) {
-	if e.bank != nil {
-		// A bank owns every node's protocol state in shared columns; swapping
-		// one node's Process handle cannot reset that state, so the engine
-		// refuses rather than silently diverge. Churn executions use per-node
-		// processes.
+	if e.userBank {
+		// A caller-supplied bank owns every node's protocol state in shared
+		// columns; swapping one node's Process handle cannot reset that
+		// state, so the engine refuses rather than silently diverge. Churn
+		// executions use per-node processes (the engine's procBank).
 		panic("sim: ReplaceProc is not supported with Config.Bank")
 	}
 	if e.incarn == nil {
@@ -106,24 +112,17 @@ func (e *Engine) ReplaceProc(u int, p Process) {
 	e.incarn[u]++
 	e.procs[u] = p
 	e.payloads[u], e.transmit[u] = nil, false
-	p.Init(&NodeEnv{
-		ID:         u,
-		Delta:      e.delta,
-		DeltaPrime: e.deltaP,
-		R:          e.dual.R,
-		Rng:        xrand.NodeSource(e.seed+uint64(e.incarn[u])*0x9e3779b97f4a7c15, u),
-		Rec:        &e.recs[u],
-	})
+	e.initProc(u, p, xrand.NodeSource(e.seed+uint64(e.incarn[u])*0x9e3779b97f4a7c15, u))
 	// Init may record events (none of the current protocols do, but the
 	// recorder is live); fold them into the trace at the current round.
 	e.drainRecorders(e.round)
 }
 
-// RefreshTopology re-reads the dual graph's flattened adjacency after a
-// PatchNode and resizes every structure whose shape depends on it: the
-// unreliable-edge inclusion mask, the IncludedFor scratch buffers (the
-// patched graph may have a larger max unreliable degree), and the Δ/Δ′
-// bounds handed to processes restarted from now on. Must be called after
+// RefreshTopology re-reads the dual graph's flattened adjacency and sizes
+// every structure whose shape depends on it: the unreliable-edge inclusion
+// mask, the IncludedFor scratch buffers (a patched graph may have a larger
+// max unreliable degree), and the Δ/Δ′ bounds handed to processes
+// initialised from now on. New calls it once; it must be called after
 // every patch before the next round runs — PatchNode rewrites the CSR
 // backing arrays in place, so the engine's stale slice headers would
 // otherwise read torn topology.
@@ -137,11 +136,13 @@ func (e *Engine) RefreshTopology() {
 			e.maxUDeg = d
 		}
 	}
-	if e.sparse != nil && len(e.incBuf) < e.maxUDeg {
-		e.incBuf = make([]bool, e.maxUDeg)
-	}
-	if e.included != nil && len(e.included) != len(e.dual.UnreliableEdges()) {
-		e.included = make([]bool, len(e.dual.UnreliableEdges()))
+	if e.sparse != nil {
+		if len(e.incBuf) < e.maxUDeg {
+			e.incBuf = make([]bool, e.maxUDeg)
+		}
+		if len(e.included) != len(e.dual.UnreliableEdges()) {
+			e.included = make([]bool, len(e.dual.UnreliableEdges()))
+		}
 	}
 	for _, sh := range e.shards {
 		if len(sh.incBuf) < e.maxUDeg {

@@ -158,6 +158,61 @@ func TestReplaceProcRestart(t *testing.T) {
 	}
 }
 
+// nopBank is a caller-supplied bank that never acts; it stands in for a
+// struct-of-arrays bank wherever only the Config.Bank contract matters.
+type nopBank struct{}
+
+func (nopBank) TransmitRange(int, int, int, *RoundView) {}
+func (nopBank) ReceiveRange(int, int, int, *RoundView)  {}
+
+// TestReplaceProcBankGuard pins which engines ReplaceProc accepts: one with
+// a caller-supplied Config.Bank refuses (the bank owns every node's state),
+// while a per-node engine — which runs its Procs through the engine's own
+// bank — restarts a node identically under both drivers.
+func TestReplaceProcBankGuard(t *testing.T) {
+	t.Run("caller bank panics", func(t *testing.T) {
+		d := lineDual(t)
+		procs := []Process{&probeProc{}, &probeProc{}, &probeProc{}}
+		eng := newTestEngine(t, Config{Dual: d, Procs: procs, Bank: nopBank{}, Seed: 1})
+		eng.Run(2)
+		defer func() {
+			if recover() == nil {
+				t.Fatal("ReplaceProc accepted an engine with Config.Bank")
+			}
+		}()
+		eng.ReplaceProc(0, &probeProc{})
+	})
+
+	d := must(t)(dualgraph.RandomGeometric(60, 4, 4, 1.5, dualgraph.GreyUnreliable, xrand.New(8)))
+	run := func(driver Driver, workers int) *Trace {
+		procs := make([]Process, d.N())
+		for u := range procs {
+			procs[u] = &chattyProc{p: 0.6}
+		}
+		var eng *Engine
+		env := &hookEnv{
+			before: func(t int) {
+				switch t {
+				case 10:
+					eng.SetDown(7, true)
+				case 15:
+					eng.SetDown(7, false)
+					eng.ReplaceProc(7, &chattyProc{p: 0.6})
+				}
+			},
+			after: func(int) {},
+		}
+		eng = newTestEngine(t, Config{Dual: d, Procs: procs, Sched: sched.NewRandom(0.4, 13),
+			Env: env, Seed: 17, Driver: driver, Workers: workers})
+		eng.Run(40)
+		return eng.Trace()
+	}
+	ref := run(DriverSequential, 0)
+	if ok, diff := tracesEqual(run(DriverWorkerPool, 2), ref); !ok {
+		t.Fatalf("per-node restart under the worker pool (2 workers) %s", diff)
+	}
+}
+
 // TestRefreshTopologyAfterPatch drives a leave/rejoin through PatchNode +
 // RefreshTopology on a live engine: after the beacon leaves, nobody hears
 // it; after it rejoins at the same spot, deliveries resume.

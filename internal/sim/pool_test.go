@@ -52,34 +52,37 @@ func TestWorkerPoolPersistent(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolCloseIdempotent guards the Close contract shared by all
-// drivers: closing twice (and closing an engine whose pool never started)
-// must be safe.
+// TestWorkerPoolCloseIdempotent guards the Close contract shared by both
+// drivers at every worker count: closing twice (and closing an engine whose
+// pool never started) must be safe.
 func TestWorkerPoolCloseIdempotent(t *testing.T) {
 	d, err := dualgraph.RandomGeometric(40, 4, 4, 1.5, dualgraph.GreyUnreliable, xrand.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(driver Driver) *Engine {
+	mk := func(driver Driver, workers int) *Engine {
 		procs := make([]Process, d.N())
 		for u := range procs {
 			procs[u] = &chattyProc{p: 0.4}
 		}
 		e, err := New(Config{Dual: d, Procs: procs, Sched: sched.Always{}, Seed: 1,
-			Driver: driver, Workers: 3})
+			Driver: driver, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return e
 	}
-	for _, driver := range []Driver{DriverSequential, DriverWorkerPool, DriverGoroutinePerNode} {
-		e := mk(driver)
+	for _, dc := range []struct {
+		driver  Driver
+		workers int
+	}{{DriverSequential, 0}, {DriverWorkerPool, 1}, {DriverWorkerPool, 2}, {DriverWorkerPool, 7}} {
+		e := mk(dc.driver, dc.workers)
 		e.Run(5)
 		e.Close()
 		e.Close()
 	}
 	// Close before any round (pool never started).
-	mk(DriverWorkerPool).Close()
+	mk(DriverWorkerPool, 3).Close()
 }
 
 // BenchmarkPoolDispatch measures the fixed cost of one pool.run fan-out with

@@ -128,15 +128,16 @@ type alwaysSched struct{}
 
 func (alwaysSched) Included(int, int) bool { return true }
 
-// TestReceptionModelMultiRound: silence rounds leave every process at ⊥ and
-// the model runs under every driver with identical outcomes.
+// TestReceptionModelDrivers: silence rounds leave every process at ⊥ and
+// the model runs under both drivers, at every worker count, with identical
+// outcomes.
 func TestReceptionModelDrivers(t *testing.T) {
 	const n = 3
 	script := map[int][]int32{
 		1: {NoTransmitter, 0, 0},
 		3: {NoTransmitter, Blocked, 0},
 	}
-	run := func(driver Driver) []int {
+	run := func(driver Driver, workers int) []int {
 		d := receptionDual(t, n)
 		eps := make([]*echoProc, n)
 		procs := make([]Process, n)
@@ -145,7 +146,7 @@ func TestReceptionModelDrivers(t *testing.T) {
 			procs[u] = eps[u]
 		}
 		e, err := New(Config{Dual: d, Procs: procs, Reception: &stubModel{script: script},
-			Seed: 9, Driver: driver, Workers: 2})
+			Seed: 9, Driver: driver, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,12 +158,12 @@ func TestReceptionModelDrivers(t *testing.T) {
 		}
 		return flat
 	}
-	seq := run(DriverSequential)
-	for _, drv := range []Driver{DriverWorkerPool, DriverGoroutinePerNode} {
-		got := run(drv)
+	seq := run(DriverSequential, 0)
+	for _, w := range []int{1, 2, 7} {
+		got := run(DriverWorkerPool, w)
 		for i := range seq {
 			if got[i] != seq[i] {
-				t.Fatalf("driver %d diverges at %d: %d vs %d", drv, i, got[i], seq[i])
+				t.Fatalf("worker pool (%d workers) diverges at %d: %d vs %d", w, i, got[i], seq[i])
 			}
 		}
 	}

@@ -53,21 +53,21 @@ type LinkScheduler interface {
 	Included(t int, edge int) bool
 }
 
-// BatchLinkScheduler is an optional fast path for LinkScheduler: the engine
-// hands the scheduler the round's whole inclusion mask (indexed by
-// unreliable edge) to fill in one call, avoiding one interface dispatch per
-// edge per round. Implementations must overwrite every entry of mask and
-// must agree with Included: mask[i] == Included(t, i) for all i.
+// BatchLinkScheduler fills the round's whole inclusion mask (indexed by
+// unreliable edge) in one call. The engine uses it for dense rounds, where
+// the transmitters' unreliable degrees sum to more than the number of
+// unreliable edges, so subset queries would cost more than one pass over the
+// mask. Implementations must overwrite every entry of mask
+// and must agree with Included: mask[i] == Included(t, i) for all i.
 //
-// Schedulers that do not implement it run through a per-edge compatibility
-// shim in the engine.
+// Every scheduler handed to the engine implements both BatchLinkScheduler
+// and SparseLinkScheduler; New rejects one that does not.
 type BatchLinkScheduler interface {
 	LinkScheduler
 	IncludedBatch(t int, mask []bool)
 }
 
-// SparseLinkScheduler is an optional fast path beyond BatchLinkScheduler for
-// schedulers that can answer edge-subset queries. It makes sparse rounds
+// SparseLinkScheduler answers edge-subset queries. It makes sparse rounds
 // O(Σ deg over transmitters) end to end: instead of rewriting the full
 // O(|E′\E|) inclusion mask every round, the engine asks only about the edges
 // incident to this round's transmitters.

@@ -494,8 +494,9 @@ type nodeRecorder struct {
 func (r *nodeRecorder) Record(ev Event) {
 	r.buf = append(r.buf, ev)
 	if !r.listed && r.eng != nil {
-		// listed is owned by the recording node (one goroutine per node in
-		// every driver); only the slot reservation below is contended.
+		// listed is owned by the recording node (each node runs on one
+		// worker at a time in every driver); only the slot reservation below
+		// is contended.
 		r.listed = true
 		i := r.eng.dirtyLen.Add(1) - 1
 		r.eng.dirtyIdx[i] = r.node

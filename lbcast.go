@@ -97,7 +97,7 @@ func ScheduleAntiDecay(cycleLen int) Scheduler {
 	return Scheduler{impl: sched.AntiDecay{CycleLen: cycleLen}, name: "anti-decay"}
 }
 
-// Driver selects how the simulator executes rounds. All drivers produce
+// Driver selects how the simulator executes rounds. Both drivers produce
 // bit-identical executions; they differ only in concurrency.
 type Driver int
 
@@ -106,9 +106,6 @@ const (
 	DriverSequential Driver = iota + 1
 	// DriverWorkerPool parallelises node steps over a worker pool.
 	DriverWorkerPool
-	// DriverGoroutinePerNode runs every simulated radio as its own
-	// goroutine, synchronised by round barriers.
-	DriverGoroutinePerNode
 )
 
 // Option configures network construction.
@@ -251,12 +248,12 @@ func assemble(d *dualgraph.Dual, o options) (*Network, error) {
 	}
 	var driver sim.Driver
 	switch o.driver {
+	case DriverSequential:
+		driver = sim.DriverSequential
 	case DriverWorkerPool:
 		driver = sim.DriverWorkerPool
-	case DriverGoroutinePerNode:
-		driver = sim.DriverGoroutinePerNode
 	default:
-		driver = sim.DriverSequential
+		return nil, fmt.Errorf("lbcast: unknown driver %d", o.driver)
 	}
 	engine, err := sim.New(sim.Config{Dual: d, Procs: nw.bank.Procs(), Bank: nw.bank,
 		Sched: o.scheduler.impl, Seed: o.seed, Driver: driver})
@@ -267,11 +264,8 @@ func assemble(d *dualgraph.Dual, o options) (*Network, error) {
 	return nw, nil
 }
 
-// Close releases driver resources: the persistent worker pool of
-// DriverWorkerPool and the node goroutines of DriverGoroutinePerNode.
-// Networks using either driver must be Closed or their goroutines leak for
-// the process lifetime; for DriverSequential it is a no-op. Safe to call
-// repeatedly.
+// Close releases the persistent worker pool of DriverWorkerPool; for
+// DriverSequential it is a no-op. Safe to call repeatedly.
 func (nw *Network) Close() { nw.engine.Close() }
 
 // Size returns the number of nodes.
